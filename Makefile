@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race fuzz-smoke vet lint-docs bench bench-kernels bench-wire bench-pull bench-pipeline soak-smoke soak-full serve-smoke serve-full api-surface api-check clean
+.PHONY: build test test-race fuzz-smoke kernel-portability vet lint-docs bench bench-kernels bench-wire bench-pull bench-pipeline soak-smoke soak-full serve-smoke serve-full api-surface api-check clean
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,28 @@ test-race:
 
 # Ten-second fuzz smokes: hostile bytes against the storage reader and the
 # wire block decoder must come back as typed errors, never a panic or a
-# runaway allocation.
+# runaway allocation; adversarial shapes and values through Gemm must match
+# the kernel's arithmetic contract bit for bit.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/storage
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeEncodings -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeManifest -fuzztime=10s -run '^$$' ./internal/codec
+	$(GO) test -fuzz=FuzzGemm -fuzztime=10s -run '^$$' ./internal/matrix
+
+# The pure-Go kernel fallback must keep Gemm's arithmetic contract off
+# amd64: its tests pass as a 386 binary (which runs on an amd64 host), the
+# tree builds and vets for arm64, and the arm64 compiler emits no fused
+# multiply-add anywhere in internal/matrix. The STEXT count guards the
+# grep against an empty listing.
+kernel-portability:
+	GOARCH=386 $(GO) test ./internal/matrix
+	GOARCH=arm64 $(GO) vet ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/matrix 2>&1) || { echo "$$asm"; exit 1; }; \
+	if ! echo "$$asm" | grep -q STEXT; then echo "kernel-portability: no arm64 assembly listing for internal/matrix"; exit 1; fi; \
+	fused=$$(echo "$$asm" | grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \
+	if [ -n "$$fused" ]; then echo "kernel-portability: fused multiply-add in internal/matrix on arm64:"; echo "$$fused"; exit 1; fi; \
+	echo "kernel-portability: no fused multiply-add in internal/matrix on arm64"
 
 vet:
 	$(GO) vet ./...

@@ -20,7 +20,7 @@ func Cholesky(a *Dense) (*Dense, error) {
 		for j := 0; j <= i; j++ {
 			sum := a.At(i, j)
 			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+				sum -= float64(l.At(i, k) * l.At(j, k))
 			}
 			if i == j {
 				if sum <= 0 {
@@ -53,7 +53,7 @@ func SolveCholesky(l *Dense, b *Dense) (*Dense, error) {
 		for i := 0; i < n; i++ {
 			sum := b.At(i, c)
 			for k := 0; k < i; k++ {
-				sum -= l.At(i, k) * y[k]
+				sum -= float64(l.At(i, k) * y[k])
 			}
 			y[i] = sum / l.At(i, i)
 		}
@@ -61,7 +61,7 @@ func SolveCholesky(l *Dense, b *Dense) (*Dense, error) {
 		for i := n - 1; i >= 0; i-- {
 			sum := y[i]
 			for k := i + 1; k < n; k++ {
-				sum -= l.At(k, i) * x.At(k, c)
+				sum -= float64(l.At(k, i) * x.At(k, c))
 			}
 			x.Set(i, c, sum/l.At(i, i))
 		}

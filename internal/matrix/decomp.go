@@ -51,7 +51,7 @@ func LU(a *Dense) (l, u *Dense, perm []int, err error) {
 				continue
 			}
 			for c := col + 1; c < n; c++ {
-				u.Set(r, c, u.At(r, c)-f*u.At(col, c))
+				u.Set(r, c, u.At(r, c)-float64(f*u.At(col, c)))
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func SolveLU(l, u *Dense, perm []int, b *Dense) (*Dense, error) {
 		for i := 0; i < n; i++ {
 			sum := b.At(perm[i], c)
 			for k := 0; k < i; k++ {
-				sum -= l.At(i, k) * y[k]
+				sum -= float64(l.At(i, k) * y[k])
 			}
 			y[i] = sum
 		}
@@ -94,7 +94,7 @@ func SolveLU(l, u *Dense, perm []int, b *Dense) (*Dense, error) {
 		for i := n - 1; i >= 0; i-- {
 			sum := y[i]
 			for k := i + 1; k < n; k++ {
-				sum -= u.At(i, k) * x.At(k, c)
+				sum -= float64(u.At(i, k) * x.At(k, c))
 			}
 			x.Set(i, c, sum/u.At(i, i))
 		}
@@ -124,7 +124,7 @@ func JacobiEigen(a *Dense, maxSweeps int) (vals []float64, vecs *Dense, err erro
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += s.At(i, j) * s.At(i, j)
+				off += float64(s.At(i, j) * s.At(i, j))
 			}
 		}
 		if off < tol {
@@ -138,8 +138,8 @@ func JacobiEigen(a *Dense, maxSweeps int) (vals []float64, vecs *Dense, err erro
 				}
 				app, aqq := s.At(p, p), s.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				sn := t * c
 				rotate(s, v, p, q, c, sn)
 			}
@@ -176,18 +176,18 @@ func rotate(s, v *Dense, p, q int, c, sn float64) {
 	n, _ := s.Dims()
 	for k := 0; k < n; k++ {
 		skp, skq := s.At(k, p), s.At(k, q)
-		s.Set(k, p, c*skp-sn*skq)
-		s.Set(k, q, sn*skp+c*skq)
+		s.Set(k, p, float64(c*skp)-float64(sn*skq))
+		s.Set(k, q, float64(sn*skp)+float64(c*skq))
 	}
 	for k := 0; k < n; k++ {
 		spk, sqk := s.At(p, k), s.At(q, k)
-		s.Set(p, k, c*spk-sn*sqk)
-		s.Set(q, k, sn*spk+c*sqk)
+		s.Set(p, k, float64(c*spk)-float64(sn*sqk))
+		s.Set(q, k, float64(sn*spk)+float64(c*sqk))
 	}
 	for k := 0; k < n; k++ {
 		vkp, vkq := v.At(k, p), v.At(k, q)
-		v.Set(k, p, c*vkp-sn*vkq)
-		v.Set(k, q, sn*vkp+c*vkq)
+		v.Set(k, p, float64(c*vkp)-float64(sn*vkq))
+		v.Set(k, q, float64(sn*vkp)+float64(c*vkq))
 	}
 }
 
@@ -204,15 +204,15 @@ func GramSchmidtQR(a *Dense) *Dense {
 		for _, u := range cols {
 			var dot float64
 			for i := range v {
-				dot += v[i] * u[i]
+				dot += float64(v[i] * u[i])
 			}
 			for i := range v {
-				v[i] -= dot * u[i]
+				v[i] -= float64(dot * u[i])
 			}
 		}
 		var norm float64
 		for _, x := range v {
-			norm += x * x
+			norm += float64(x * x)
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {

@@ -1,8 +1,3 @@
-// Package matrix provides the local (single-task) matrix kernels used by the
-// DistME engine: dense row-major blocks, CSR/CSC sparse blocks, and the
-// multiply / add / transpose / element-wise kernels that the paper delegates
-// to LAPACK (CPU) and cuBLAS / cuSPARSE (GPU). Everything is pure Go so the
-// distributed and GPU layers above it are fully testable and deterministic.
 package matrix
 
 import (
@@ -182,7 +177,7 @@ func (d *Dense) EqualApprox(other *Dense, tol float64) bool {
 func (d *Dense) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range d.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -1,3 +1,31 @@
+// Package matrix provides the local (single-task) matrix kernels used by the
+// DistME engine: dense row-major blocks, CSR/CSC sparse blocks, and the
+// multiply / add / transpose / element-wise kernels that the paper delegates
+// to LAPACK (CPU) and cuBLAS / cuSPARSE (GPU). Everything is Go apart from
+// one amd64 assembly micro-kernel inside Gemm, so the distributed and GPU
+// layers above it are fully testable and deterministic.
+//
+// # Arithmetic contract
+//
+// Gemm, and Mul and MulAdd on two dense blocks, compute every element of C
+// exactly as this loop does:
+//
+//	for p := 0; p < k; p++ {
+//		if a[i][p] != 0 {
+//			c[i][j] += float64(a[i][p] * b[p][j])
+//		}
+//	}
+//
+// That is: accumulation in ascending k; a separate rounding for each
+// multiply and each add, never a fused multiply-add, on any GOARCH; and a
+// zero in A contributes nothing, even against an Inf or NaN in B. So C is
+// bit-identical whichever path computes it (the AVX micro-kernel or the
+// pure-Go loops), at any kernel worker count, NaN payloads apart. The
+// sparse kernels apply the same zero rule to the entries they do not store
+// (DenseMulCSC does not skip zeros in its dense A) and never fuse either,
+// but group their additions as each one's comment says: they are
+// deterministic, not bit-identical to Gemm on the densified operands. Every multiply-accumulate in this package is written
+// float64(x*y) + z, the conversion the Go spec defines to forbid fusion.
 package matrix
 
 import (
@@ -66,22 +94,14 @@ func Gemm(c, a, b *Dense) {
 // gemmParallel splits the row range of C across workers. Each row of C is
 // computed by exactly one goroutine with the same per-element accumulation
 // order as the serial path, so results are bit-identical for any width.
+// Chunks are whole multiples of four rows, so every worker's rows fall into
+// full four-row groups except at the end of C.
 func gemmParallel(c, a, b *Dense, workers int) {
 	m := a.RowsN
-	if workers > m {
-		workers = m
-	}
 	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
+	chunk := ((m+workers-1)/workers + 3) &^ 3
+	for lo := 0; lo < m; lo += chunk {
+		hi := min(lo+chunk, m)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -91,61 +111,100 @@ func gemmParallel(c, a, b *Dense, workers int) {
 	wg.Wait()
 }
 
-// gemmRange computes rows [lo, hi) of C += A×B with k-tiling and a
-// register-blocked micro-kernel that advances four C rows at once: each B
-// row is streamed through the cache exactly once per four output rows
-// (4× less B traffic than the seed's row-at-a-time AXPY) and the inner
-// loop carries four independent multiply-add chains. Wider row groups were
-// measured slower (register spills and five concurrent write streams);
-// see kernels_bench_test.go. Every C element still accumulates in
-// ascending-k order, so results are bit-identical to the naive i-k-j loop
-// regardless of how rows are grouped or ranges are split.
+// gemmRange computes rows [lo, hi) of C += A×B one 64-wide k-tile at a
+// time, four C rows at once. Where A's four rows hold no zero in the
+// k-tile and the CPU has AVX, the assembly micro-kernel gemm4x8 covers the
+// leading multiple of eight columns; the pure-Go loops cover the rest of
+// the columns, the last hi-lo mod 4 rows, and every group with a zero in
+// the tile. All paths follow the package's arithmetic contract, so how
+// rows are grouped or ranges split never changes a bit of C.
 func gemmRange(c, a, b *Dense, lo, hi int) {
 	k := a.ColsN
 	n := b.ColsN
+	simdCols := 0
+	if useAVX {
+		simdCols = n &^ 7
+	}
 	for kk := 0; kk < k; kk += gemmBlock {
-		kmax := kk + gemmBlock
-		if kmax > k {
-			kmax = k
-		}
+		kmax := min(kk+gemmBlock, k)
 		i := lo
 		for ; i+4 <= hi; i += 4 {
-			a0 := a.Data[i*k:]
-			a1 := a.Data[(i+1)*k:]
-			a2 := a.Data[(i+2)*k:]
-			a3 := a.Data[(i+3)*k:]
-			c0 := c.Data[i*n : (i+1)*n]
-			c1 := c.Data[(i+1)*n : (i+2)*n : (i+2)*n]
-			c2 := c.Data[(i+2)*n : (i+3)*n : (i+3)*n]
-			c3 := c.Data[(i+3)*n : (i+4)*n : (i+4)*n]
-			for p := kk; p < kmax; p++ {
-				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					c0[j] += v0 * bv
-					c1[j] += v1 * bv
-					c2[j] += v2 * bv
-					c3[j] += v3 * bv
-				}
+			j0 := 0
+			if simdCols > 0 && !hasZero4(a, i, kk, kmax) {
+				gemm4x8(&c.Data[i*n], n, &a.Data[i*k+kk], k, &b.Data[kk*n], n, kmax-kk, simdCols)
+				j0 = simdCols
+			}
+			if j0 < n {
+				gemmRows4(c, a, b, i, kk, kmax, j0)
 			}
 		}
 		for ; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
 			crow := c.Data[i*n : (i+1)*n]
 			for p := kk; p < kmax; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+				axpy(crow, a.Data[i*k+p], b.Data[p*n:(p+1)*n])
 			}
 		}
+	}
+}
+
+// hasZero4 reports whether A rows [i, i+4) hold a zero (of either sign) in
+// columns [kk, kmax).
+func hasZero4(a *Dense, i, kk, kmax int) bool {
+	k := a.ColsN
+	for r := i; r < i+4; r++ {
+		for _, v := range a.Data[r*k+kk : r*k+kmax] {
+			if v == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// gemmRows4 adds A[i:i+4, kk:kmax]×B[kk:kmax, j0:n] into C[i:i+4, j0:n].
+// Each B row slice is streamed once for four C rows (4× less B traffic
+// than a row-at-a-time AXPY) with four independent multiply-add chains.
+// When one of the four A values at p is zero, the rows are updated one at
+// a time so that the zero is skipped on its own.
+func gemmRows4(c, a, b *Dense, i, kk, kmax, j0 int) {
+	k := a.ColsN
+	n := b.ColsN
+	a0 := a.Data[i*k:]
+	a1 := a.Data[(i+1)*k:]
+	a2 := a.Data[(i+2)*k:]
+	a3 := a.Data[(i+3)*k:]
+	w := n - j0
+	c0 := c.Data[i*n+j0:][:w]
+	c1 := c.Data[(i+1)*n+j0:][:w]
+	c2 := c.Data[(i+2)*n+j0:][:w]
+	c3 := c.Data[(i+3)*n+j0:][:w]
+	for p := kk; p < kmax; p++ {
+		v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
+		brow := b.Data[p*n+j0:][:w]
+		if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
+			axpy(c0, v0, brow)
+			axpy(c1, v1, brow)
+			axpy(c2, v2, brow)
+			axpy(c3, v3, brow)
+			continue
+		}
+		for j, bv := range brow {
+			c0[j] += float64(v0 * bv)
+			c1[j] += float64(v1 * bv)
+			c2[j] += float64(v2 * bv)
+			c3[j] += float64(v3 * bv)
+		}
+	}
+}
+
+// axpy adds av×brow into crow, and nothing at all when av is zero.
+func axpy(crow []float64, av float64, brow []float64) {
+	if av == 0 {
+		return
+	}
+	crow = crow[:len(brow)]
+	for j, bv := range brow {
+		crow[j] += float64(av * bv)
 	}
 }
 
@@ -201,14 +260,14 @@ func csrMulDenseRange(c *Dense, a *CSR, b *Dense, lo, hi int) {
 			r2 := bd[a.ColIdx[p+2]*n:][:n]
 			r3 := bd[a.ColIdx[p+3]*n:][:n]
 			for j := range crow {
-				crow[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
+				crow[j] += float64(v0*r0[j]) + float64(v1*r1[j]) + float64(v2*r2[j]) + float64(v3*r3[j])
 			}
 		}
 		for ; p < end; p++ {
 			av := a.Val[p]
 			brow := bd[a.ColIdx[p]*n:][:n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -274,11 +333,11 @@ func denseMulCSCRange(c, a *Dense, b *CSC, lo, hi int) {
 			}
 			var s0, s1 float64
 			for ; p+2 <= end; p += 2 {
-				s0 += arow[b.RowIdx[p]] * b.Val[p]
-				s1 += arow[b.RowIdx[p+1]] * b.Val[p+1]
+				s0 += float64(arow[b.RowIdx[p]] * b.Val[p])
+				s1 += float64(arow[b.RowIdx[p+1]] * b.Val[p+1])
 			}
 			if p < end {
-				s0 += arow[b.RowIdx[p]] * b.Val[p]
+				s0 += float64(arow[b.RowIdx[p]] * b.Val[p])
 			}
 			crow[j] += s0 + s1
 		}
@@ -356,7 +415,7 @@ func csrMulCSRRange(a, b *CSR, lo, hi int) *CSR {
 					acc[j] = 0
 					cols = append(cols, j)
 				}
-				acc[j] += av * b.Val[q]
+				acc[j] += float64(av * b.Val[q])
 			}
 		}
 		// Deterministic output: ascending column order within the row.

@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,29 +25,181 @@ func naiveMul(a, b *Dense) *Dense {
 	return c
 }
 
-func TestGemmMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {7, 7, 7}, {16, 8, 32}, {65, 130, 67}} {
-		a := RandomDense(rng, dims[0], dims[1])
-		b := RandomDense(rng, dims[1], dims[2])
-		c := NewDense(dims[0], dims[2])
-		Gemm(c, a, b)
-		if !c.EqualApprox(naiveMul(a, b), 1e-9) {
-			t.Fatalf("Gemm mismatch for %v", dims)
+// gemmRef is Gemm's arithmetic contract spelled out: every C element
+// accumulates in ascending k, each multiply and add is rounded on its own,
+// and a zero in A contributes nothing, even against an Inf or NaN in B.
+func gemmRef(c, a, b *Dense) {
+	m, k := a.Dims()
+	_, n := b.Dims()
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := c.At(i, j)
+			for p := 0; p < k; p++ {
+				if av := a.At(i, p); av != 0 {
+					s += float64(av * b.At(p, j))
+				}
+			}
+			c.Set(i, j, s)
 		}
 	}
 }
 
+// firstBitDiff returns the first flat index where got and want differ bit
+// for bit, or -1. Any NaN matches any NaN: Go leaves the payload of a NaN
+// produced from two NaN operands unspecified.
+func firstBitDiff(got, want *Dense) int {
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// adversarialGemm builds Gemm operands that stress the arithmetic
+// contract: zeros of both signs scattered through A, −0, ±Inf and NaN in
+// a few "poison" rows of B whose A column is mostly zero, and a C that is
+// nonzero on entry. Most C elements stay finite, so a kernel that lets a
+// zero in A meet an Inf or NaN shows up as a NaN where the reference has
+// a number.
+func adversarialGemm(rng *rand.Rand, m, k, n int) (c, a, b *Dense) {
+	a = RandomDense(rng, m, k)
+	b = RandomDense(rng, k, n)
+	c = RandomDense(rng, m, n)
+	for i := range a.Data {
+		switch rng.Intn(10) {
+		case 0:
+			a.Data[i] = 0
+		case 1:
+			a.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
+	for p := 0; p < k; p++ {
+		if rng.Intn(4) != 0 {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			if rng.Intn(3) == 0 {
+				b.Data[p*n+j] = specials[rng.Intn(len(specials))]
+			}
+		}
+		for i := 0; i < m; i++ {
+			if rng.Intn(8) != 0 {
+				a.Data[i*k+p] = 0
+			}
+		}
+	}
+	return c, a, b
+}
+
+// cpuAVX records whether this CPU runs the assembly micro-kernel, before
+// any test switches it off.
+var cpuAVX = useAVX
+
+// checkGemmPaths runs C += A×B through every kernel path (the AVX
+// micro-kernel where the CPU has it, and the pure-Go loops) at worker
+// widths 1, 2, 3 and 7, and requires each result to match the contract's
+// reference bit for bit. Shapes below parallelThreshold fan out only
+// under forceParallel.
+func checkGemmPaths(t *testing.T, name string, c, a, b *Dense) {
+	t.Helper()
+	want := c.Clone()
+	gemmRef(want, a, b)
+	paths := []bool{false}
+	if cpuAVX {
+		paths = append(paths, true)
+	}
+	defer func() { useAVX = cpuAVX }()
+	for _, avx := range paths {
+		useAVX = avx
+		for _, w := range []int{1, 2, 3, 7} {
+			SetKernelWorkers(w)
+			got := c.Clone()
+			Gemm(got, a, b)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("%s (avx=%v, workers=%d): C[%d] = %v, want %v", name, avx, w, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
+// gemmShapes covers every edge of the kernel's tiling: m mod 4 != 0,
+// n < 8, n mod 8 != 0, and k off a multiple of the 64-wide k-tile.
+var gemmShapes = [][3]int{
+	{1, 1, 1}, {3, 4, 5}, {4, 1, 8}, {5, 70, 7}, {7, 7, 7}, {8, 3, 9},
+	{6, 65, 17}, {13, 64, 24}, {16, 8, 32}, {9, 130, 13}, {65, 130, 67},
+}
+
+func TestGemmMatchesNaive(t *testing.T) {
+	forceParallel(t)
+	rng := rand.New(rand.NewSource(10))
+	for _, dims := range gemmShapes {
+		m, k, n := dims[0], dims[1], dims[2]
+		a := RandomDense(rng, m, k)
+		b := RandomDense(rng, k, n)
+		checkGemmPaths(t, fmt.Sprintf("random %v, zero C", dims), NewDense(m, n), a, b)
+		c, a, b := adversarialGemm(rng, m, k, n)
+		checkGemmPaths(t, fmt.Sprintf("adversarial %v", dims), c, a, b)
+	}
+}
+
+// TestGemmParallelPathMatchesNaive runs shapes large enough to take the
+// parallel path under the default gates.
 func TestGemmParallelPathMatchesNaive(t *testing.T) {
+	t.Cleanup(func() { SetKernelWorkers(0) })
 	rng := rand.New(rand.NewSource(11))
-	// Force the parallel path: result must exceed parallelThreshold.
 	a := RandomDense(rng, 160, 90)
 	b := RandomDense(rng, 90, 140)
-	c := NewDense(160, 140)
-	Gemm(c, a, b)
-	if !c.EqualApprox(naiveMul(a, b), 1e-9) {
-		t.Fatal("parallel Gemm mismatch")
+	checkGemmPaths(t, "random 160x90x140", NewDense(160, 140), a, b)
+	c, a, b := adversarialGemm(rng, 157, 131, 139)
+	checkGemmPaths(t, "adversarial 157x131x139", c, a, b)
+}
+
+// TestGemmZeroAnnihilatesInfRegardlessOfGrouping pins the zero rule for a
+// row inside a four-row group: A[0][0] is zero and B[0][0] is +Inf, so
+// C[0][0] gets only A[0][1]·B[1][0]. A kernel that skipped p only when all
+// four rows were zero computed NaN there at one worker and 2 at two, where
+// the row fell out of its group.
+func TestGemmZeroAnnihilatesInfRegardlessOfGrouping(t *testing.T) {
+	forceParallel(t)
+	for _, n := range []int{2, 8, 11} {
+		a := NewDense(6, 2)
+		for i := range a.Data {
+			a.Data[i] = 1
+		}
+		a.Set(0, 0, 0)
+		a.Set(0, 1, 2)
+		b := NewDense(2, n)
+		for i := range b.Data {
+			b.Data[i] = 1
+		}
+		b.Set(0, 0, math.Inf(1))
+		checkGemmPaths(t, fmt.Sprintf("6x2x%d", n), NewDense(6, n), a, b)
+		SetKernelWorkers(1)
+		c := NewDense(6, n)
+		Gemm(c, a, b)
+		if c.At(0, 0) != 2 {
+			t.Fatalf("n=%d: C[0][0] = %v, want 2", n, c.At(0, 0))
+		}
 	}
+}
+
+// FuzzGemm drives Gemm over random shapes and adversarial values (zeros
+// in A against −0, ±Inf and NaN in B, a nonzero C) on every kernel path
+// and several worker widths, against the contract's reference.
+func FuzzGemm(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(2), uint8(2))
+	f.Add(int64(2), uint8(13), uint8(70), uint8(17))
+	f.Add(int64(3), uint8(4), uint8(64), uint8(8))
+	f.Add(int64(4), uint8(33), uint8(130), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n uint8) {
+		forceParallel(t)
+		rng := rand.New(rand.NewSource(seed))
+		c, a, b := adversarialGemm(rng, 1+int(m%40), 1+int(k), 1+int(n%40))
+		checkGemmPaths(t, "fuzz", c, a, b)
+	})
 }
 
 func TestGemmAccumulates(t *testing.T) {

@@ -33,7 +33,7 @@ func RandomSparse(rng *rand.Rand, rows, cols int, sparsity float64) *CSR {
 			for j := 0; j < cols; j++ {
 				if rng.Float64() < sparsity {
 					m.ColIdx = append(m.ColIdx, j)
-					m.Val = append(m.Val, 1-rng.Float64())
+					m.Val = append(m.Val, 1-float64(rng.Float64()))
 				}
 			}
 		} else {
@@ -41,7 +41,7 @@ func RandomSparse(rng *rand.Rand, rows, cols int, sparsity float64) *CSR {
 			j := nextGap(rng, sparsity)
 			for j < cols {
 				m.ColIdx = append(m.ColIdx, j)
-				m.Val = append(m.Val, 1-rng.Float64())
+				m.Val = append(m.Val, 1-float64(rng.Float64()))
 				j += 1 + nextGap(rng, sparsity)
 			}
 		}
