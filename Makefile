@@ -19,13 +19,16 @@ test-race:
 # Ten-second fuzz smokes: hostile bytes against the storage reader and the
 # wire block decoder must come back as typed errors, never a panic or a
 # runaway allocation; adversarial shapes and values through Gemm must match
-# the kernel's arithmetic contract bit for bit.
+# the kernel's arithmetic contract bit for bit; and the cuboid executor's
+# CSR accumulation of sparse×sparse partials must match the dense
+# accumulator in blocks, formats, bits and aggregation bytes.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/storage
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeEncodings -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeManifest -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzGemm -fuzztime=10s -run '^$$' ./internal/matrix
+	$(GO) test -fuzz=FuzzSparseAccumulate -fuzztime=10s -run '^$$' ./internal/core
 
 # The pure-Go kernel fallback must keep Gemm's arithmetic contract off
 # amd64: its tests pass as a 386 binary (which runs on an amd64 host), the

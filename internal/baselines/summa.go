@@ -52,6 +52,7 @@ func MultiplySUMMA(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 	start := time.Now()
 	repart := int64(gridQ)*a.StoredBytes() + int64(gridP)*b.StoredBytes()
 	rec.AddBytes(metrics.StepRepartition, repart)
+	defer env.Cluster.ReleaseSpill(repart)
 	if err := env.Cluster.ChargeSpill(repart); err != nil {
 		return nil, err
 	}
@@ -139,6 +140,7 @@ func MultiplySciDB(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 	}
 	pre := a.StoredBytes() + b.StoredBytes()
 	rec.AddBytes(metrics.StepRepartition, pre)
+	defer env.Cluster.ReleaseSpill(pre)
 	if err := env.Cluster.ChargeSpill(pre); err != nil {
 		return nil, err
 	}
@@ -181,6 +183,7 @@ func MultiplyCRMM(a, b *bmat.BlockMatrix, env core.Env) (*bmat.BlockMatrix, erro
 	}
 	regroup := a.StoredBytes() + b.StoredBytes()
 	rec.AddBytes(metrics.StepRepartition, regroup)
+	defer env.Cluster.ReleaseSpill(regroup)
 	if err := env.Cluster.ChargeSpill(regroup); err != nil {
 		return nil, err
 	}

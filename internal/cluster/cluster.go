@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"distme/internal/metrics"
@@ -174,6 +175,9 @@ type Cluster struct {
 	// its non-nil error is treated as that attempt's failure — the test
 	// hook for exercising the retry machinery (lost executors, flaky I/O).
 	failureInjector func(taskName string, attempt int) error
+	// spillInFlight is the intermediate data of jobs still running: what
+	// ChargeSpill added and ReleaseSpill has not yet taken back.
+	spillInFlight atomic.Int64
 }
 
 // SetFailureInjector installs a fault hook for tests and chaos runs: it is
@@ -254,16 +258,23 @@ func (c *Cluster) attemptCtx(ctx context.Context, t Task, attempt int) (err erro
 	return t.Fn()
 }
 
-// ChargeSpill accounts n bytes of intermediate data spilled to disk and
-// fails with ErrExceededDisk when the cumulative volume passes the cluster's
-// disk capacity.
+// ChargeSpill accounts n bytes of intermediate data spilled to disk by a
+// running job and fails with ErrExceededDisk when the spill of all jobs in
+// flight passes the cluster's disk capacity. The bytes stay on disk until
+// the job hands them back with ReleaseSpill when it ends, on success or
+// error, as a job's shuffle files are deleted with it; the recorder's
+// SpillBytes keeps counting every byte ever spilled.
 func (c *Cluster) ChargeSpill(n int64) error {
 	c.recorder.AddSpill(n)
-	if c.cfg.DiskCapacityBytes > 0 && c.recorder.SpillBytes() > c.cfg.DiskCapacityBytes {
-		return fmt.Errorf("%w: %s spilled, capacity %s",
+	inFlight := c.spillInFlight.Add(n)
+	if c.cfg.DiskCapacityBytes > 0 && inFlight > c.cfg.DiskCapacityBytes {
+		return fmt.Errorf("%w: %s in flight, capacity %s",
 			ErrExceededDisk,
-			metrics.FormatBytes(c.recorder.SpillBytes()),
+			metrics.FormatBytes(inFlight),
 			metrics.FormatBytes(c.cfg.DiskCapacityBytes))
 	}
 	return nil
 }
+
+// ReleaseSpill frees n bytes that an ended job charged with ChargeSpill.
+func (c *Cluster) ReleaseSpill(n int64) { c.spillInFlight.Add(-n) }

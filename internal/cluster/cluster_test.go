@@ -161,6 +161,29 @@ func TestChargeSpillEDC(t *testing.T) {
 	}
 }
 
+// TestReleaseSpillFreesDisk: capacity bounds the spill of jobs in flight,
+// not the lifetime total, which the recorder still reports.
+func TestReleaseSpillFreesDisk(t *testing.T) {
+	cfg := testConfig()
+	cfg.DiskCapacityBytes = 1000
+	c, _ := New(cfg)
+	for job := 0; job < 5; job++ {
+		if err := c.ChargeSpill(600); err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+		c.ReleaseSpill(600)
+	}
+	if got := c.Recorder().SpillBytes(); got != 3000 {
+		t.Fatalf("recorder spill = %d, want the cumulative 3000", got)
+	}
+	if err := c.ChargeSpill(600); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ChargeSpill(600); !errors.Is(err, ErrExceededDisk) {
+		t.Fatalf("two jobs in flight: err = %v, want ErrExceededDisk", err)
+	}
+}
+
 func TestChargeSpillUnlimitedWhenZero(t *testing.T) {
 	cfg := testConfig()
 	cfg.DiskCapacityBytes = 0

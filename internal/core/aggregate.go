@@ -18,9 +18,14 @@ import (
 // floating-point accumulation order — and therefore every output bit — is
 // identical for any worker count.
 //
-// Merged-away partials are released to the dense-buffer pool at the moment
-// they die (their array has no other readers by construction: each partial
-// map entry is visited exactly once, by its key's owner).
+// Partials arrive as CSR blocks (sparse×sparse products) or dense blocks.
+// Two CSR partials merge into a fresh CSR (matrix.AddCSR); a dense or mixed
+// pair is added into a dense accumulator, a CSR accumulator being densified
+// first, so every sum is still existing + incoming and the bits equal an
+// all-dense merge. Merged-away dense partials are released to the
+// dense-buffer pool at the moment they die (their array has no other
+// readers by construction: each partial map entry is visited exactly
+// once, by its key's owner).
 
 // aggShard deterministically assigns an output block key to one of n
 // workers. The multipliers spread consecutive (i, j) keys across shards so
@@ -34,7 +39,7 @@ func aggShard(key bmat.BlockKey, n int) int {
 // when non-nil, is charged once per partial block and the total returned —
 // the aggregation-shuffle byte count. workers <= 1 runs the sequential
 // merge; the results are bit-identical either way.
-func aggregateBlockPartials(out *bmat.BlockMatrix, partials []map[bmat.BlockKey]*matrix.Dense, workers int, sizeOf func(*matrix.Dense) int64) int64 {
+func aggregateBlockPartials(out *bmat.BlockMatrix, partials []map[bmat.BlockKey]matrix.Block, workers int, sizeOf func(matrix.Block) int64) int64 {
 	sorted := make([][]keyedBlock, 0, len(partials))
 	for _, p := range partials {
 		if len(p) == 0 {
@@ -81,8 +86,7 @@ func aggregateBlockPartials(out *bmat.BlockMatrix, partials []map[bmat.BlockKey]
 						bytes += sizeOf(kb.block)
 					}
 					if li, ok := index[kb.key]; ok {
-						matrix.AddInto(list[li].block, kb.block)
-						matrix.PutDense(kb.block)
+						list[li].block = addPartial(list[li].block, kb.block)
 					} else {
 						index[kb.key] = len(list)
 						list = append(list, kb)
@@ -104,15 +108,23 @@ func aggregateBlockPartials(out *bmat.BlockMatrix, partials []map[bmat.BlockKey]
 	return bytes
 }
 
-// mergeBlock folds one keyed partial into the output matrix, releasing the
-// partial when it is consumed by an existing accumulator.
+// mergeBlock folds one keyed partial into the output matrix.
 func mergeBlock(out *bmat.BlockMatrix, kb keyedBlock) {
 	if existing := out.Block(kb.key.I, kb.key.J); existing != nil {
-		matrix.AddInto(existing.(*matrix.Dense), kb.block)
-		matrix.PutDense(kb.block)
+		out.SetBlock(kb.key.I, kb.key.J, addPartial(existing, kb.block))
 	} else {
 		out.SetBlock(kb.key.I, kb.key.J, kb.block)
 	}
+}
+
+// addPartial returns acc + p (matrix.Accumulate), consuming both: a dense
+// p is released to the pool once added.
+func addPartial(acc, p matrix.Block) matrix.Block {
+	sum := matrix.Accumulate(acc, p)
+	if d, ok := p.(*matrix.Dense); ok {
+		matrix.PutDense(d)
+	}
+	return sum
 }
 
 // aggregateVoxelPartials is the RMM variant: partials are keyed by voxel

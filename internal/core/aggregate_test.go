@@ -11,10 +11,10 @@ import (
 // makeBlockPartials fabricates per-cuboid partial maps over a gridI×gridJ
 // output with the given block size: every cuboid contributes a random
 // subset of keys, so keys overlap across cuboids like an R>1 partitioning.
-func makeBlockPartials(rng *rand.Rand, cuboids, gridI, gridJ, bs int) []map[bmat.BlockKey]*matrix.Dense {
-	partials := make([]map[bmat.BlockKey]*matrix.Dense, cuboids)
+func makeBlockPartials(rng *rand.Rand, cuboids, gridI, gridJ, bs int) []map[bmat.BlockKey]matrix.Block {
+	partials := make([]map[bmat.BlockKey]matrix.Block, cuboids)
 	for t := 0; t < cuboids; t++ {
-		part := make(map[bmat.BlockKey]*matrix.Dense)
+		part := make(map[bmat.BlockKey]matrix.Block)
 		for i := 0; i < gridI; i++ {
 			for j := 0; j < gridJ; j++ {
 				if rng.Intn(3) == 0 {
@@ -28,22 +28,22 @@ func makeBlockPartials(rng *rand.Rand, cuboids, gridI, gridJ, bs int) []map[bmat
 	// A nil and an empty map exercise the skip paths.
 	if cuboids > 2 {
 		partials[cuboids-1] = nil
-		partials[cuboids-2] = map[bmat.BlockKey]*matrix.Dense{}
+		partials[cuboids-2] = map[bmat.BlockKey]matrix.Block{}
 	}
 	return partials
 }
 
 // clonePartials deep-copies partial maps so sequential and parallel merges
 // consume independent accumulators (the merge mutates blocks in place).
-func clonePartials(src []map[bmat.BlockKey]*matrix.Dense) []map[bmat.BlockKey]*matrix.Dense {
-	out := make([]map[bmat.BlockKey]*matrix.Dense, len(src))
+func clonePartials(src []map[bmat.BlockKey]matrix.Block) []map[bmat.BlockKey]matrix.Block {
+	out := make([]map[bmat.BlockKey]matrix.Block, len(src))
 	for t, part := range src {
 		if part == nil {
 			continue
 		}
-		cp := make(map[bmat.BlockKey]*matrix.Dense, len(part))
+		cp := make(map[bmat.BlockKey]matrix.Block, len(part))
 		for k, v := range part {
-			cp[k] = v.Clone()
+			cp[k] = v.Dense()
 		}
 		out[t] = cp
 	}
@@ -104,7 +104,7 @@ func TestAggregateBlockPartialsEmptyAndNil(t *testing.T) {
 	if n := aggregateBlockPartials(out, nil, 4, nil); n != 0 {
 		t.Fatalf("empty partials charged %d bytes", n)
 	}
-	if n := aggregateBlockPartials(out, []map[bmat.BlockKey]*matrix.Dense{nil, {}}, 4, nil); n != 0 {
+	if n := aggregateBlockPartials(out, []map[bmat.BlockKey]matrix.Block{nil, {}}, 4, nil); n != 0 {
 		t.Fatalf("nil/empty maps charged %d bytes", n)
 	}
 	if out.NumBlocks() != 0 {
@@ -217,11 +217,11 @@ func TestMultiplyRMMAggregationWorkerInvariance(t *testing.T) {
 // their buffers to the dense pool (the whole point of the release points).
 func TestAggregationReleasesMergedPartials(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
-	partials := make([]map[bmat.BlockKey]*matrix.Dense, 4)
+	partials := make([]map[bmat.BlockKey]matrix.Block, 4)
 	for i := range partials {
 		// Same key everywhere: 3 of the 4 blocks must be released.
 		acc := matrix.MulAdd(nil, matrix.RandomDense(rng, 16, 16), matrix.RandomDense(rng, 16, 16))
-		partials[i] = map[bmat.BlockKey]*matrix.Dense{{I: 0, J: 0}: acc}
+		partials[i] = map[bmat.BlockKey]matrix.Block{{I: 0, J: 0}: acc}
 	}
 	before := matrix.DensePoolStats()
 	out := bmat.New(16, 16, 16)

@@ -29,7 +29,7 @@ const maxTransientFetches = 2
 // aggregation, retrying transient shuffle-fetch failures and recomputing
 // lost partials from lineage. A nil injector (no fault config) fetches
 // nothing and returns immediately.
-func recoverCuboidPartials(ctx context.Context, env Env, parent obs.SpanID, cuboids []*Cuboid, partials []map[bmat.BlockKey]*matrix.Dense, mult LocalMultiplier) error {
+func recoverCuboidPartials(ctx context.Context, env Env, parent obs.SpanID, cuboids []*Cuboid, partials []map[bmat.BlockKey]matrix.Block, mult LocalMultiplier) error {
 	inj := env.Cluster.FaultInjector()
 	if inj == nil || inj.Config().FetchFailRate <= 0 {
 		return nil
@@ -120,10 +120,13 @@ func recoverVoxelPartials(ctx context.Context, env Env, parent obs.SpanID, taskG
 	return nil
 }
 
-// releasePartialMap returns a discarded partial's pooled dense buffers.
-func releasePartialMap(m map[bmat.BlockKey]*matrix.Dense) {
-	for _, d := range m {
-		matrix.PutDense(d)
+// releasePartialMap returns a discarded partial's pooled dense buffers;
+// its CSR blocks are left to the garbage collector.
+func releasePartialMap(m map[bmat.BlockKey]matrix.Block) {
+	for _, b := range m {
+		if d, ok := b.(*matrix.Dense); ok {
+			matrix.PutDense(d)
+		}
 	}
 }
 

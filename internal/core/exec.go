@@ -203,11 +203,13 @@ func (c *Cuboid) FlopsEstimate() float64 {
 }
 
 // LocalMultiplier computes the local multiplication step for one cuboid,
-// returning the partial C blocks keyed by global block position. The CPU
-// implementation multiplies directly; the GPU implementation (gpu package)
-// streams subcuboids through the simulated device per Algorithm 1.
+// returning the partial C blocks keyed by global block position. A partial
+// is a CSR block while every product summed into it was sparse×sparse and
+// dense otherwise (matrix.MulAccumulate). The CPU implementation multiplies
+// directly; the GPU implementation (gpu package) streams subcuboids through
+// the simulated device per Algorithm 1.
 type LocalMultiplier interface {
-	Multiply(c *Cuboid) (map[bmat.BlockKey]*matrix.Dense, error)
+	Multiply(c *Cuboid) (map[bmat.BlockKey]matrix.Block, error)
 }
 
 // CPUMultiplier is the LAPACK-style local multiplication: for each (i,j) of
@@ -215,18 +217,18 @@ type LocalMultiplier interface {
 type CPUMultiplier struct{}
 
 // Multiply implements LocalMultiplier.
-func (CPUMultiplier) Multiply(c *Cuboid) (map[bmat.BlockKey]*matrix.Dense, error) {
-	out := make(map[bmat.BlockKey]*matrix.Dense, (c.IHi-c.ILo)*(c.JHi-c.JLo))
+func (CPUMultiplier) Multiply(c *Cuboid) (map[bmat.BlockKey]matrix.Block, error) {
+	out := make(map[bmat.BlockKey]matrix.Block, (c.IHi-c.ILo)*(c.JHi-c.JLo))
 	for i := c.ILo; i < c.IHi; i++ {
 		for j := c.JLo; j < c.JHi; j++ {
-			var acc *matrix.Dense
+			var acc matrix.Block
 			for k := c.KLo; k < c.KHi; k++ {
 				ab := c.A.Block(i, k)
 				bb := c.B.Block(k, j)
 				if ab == nil || bb == nil {
 					continue
 				}
-				acc = matrix.MulAdd(acc, ab, bb)
+				acc = matrix.MulAccumulate(acc, ab, bb)
 			}
 			if acc != nil {
 				out[bmat.BlockKey{I: i, J: j}] = acc
@@ -321,6 +323,9 @@ func MultiplyCuboidCtx(ctx context.Context, a, b *bmat.BlockMatrix, params Param
 	}
 	rec := env.recorder()
 	mult := env.multiplier()
+	// The job's intermediate data holds its disk until the job ends.
+	var spilled int64
+	defer func() { env.Cluster.ReleaseSpill(spilled) }()
 
 	// ---- Matrix repartition step -------------------------------------
 	// Build the P·Q·R cuboids and charge each one's input payload: every A
@@ -362,6 +367,7 @@ func MultiplyCuboidCtx(ctx context.Context, a, b *bmat.BlockMatrix, params Param
 		repartitionBytes = 0
 	}
 	rec.AddBytes(metrics.StepRepartition, repartitionBytes)
+	spilled += repartitionBytes
 	if err := env.Cluster.ChargeSpill(repartitionBytes); err != nil {
 		endSpanErr(rsp, err)
 		return nil, err
@@ -376,7 +382,7 @@ func MultiplyCuboidCtx(ctx context.Context, a, b *bmat.BlockMatrix, params Param
 	if env.BalanceBySparsity {
 		sortCuboidsByWork(cuboids)
 	}
-	partials := make([]map[bmat.BlockKey]*matrix.Dense, len(cuboids))
+	partials := make([]map[bmat.BlockKey]matrix.Block, len(cuboids))
 	var commitMu sync.Mutex
 	tasks := make([]cluster.Task, len(cuboids))
 	for idx, c := range cuboids {
@@ -440,7 +446,7 @@ func MultiplyCuboidCtx(ctx context.Context, a, b *bmat.BlockMatrix, params Param
 	start = time.Now()
 	asp := env.Tracer.Start(env.TraceParent, "aggregate", obs.KindDriver)
 	out := bmat.New(a.Rows, b.Cols, a.BlockSize)
-	var sizeOf func(*matrix.Dense) int64
+	var sizeOf func(matrix.Block) int64
 	if params.R > 1 {
 		sizeOf = compactSizeBytes
 	}
@@ -448,6 +454,7 @@ func MultiplyCuboidCtx(ctx context.Context, a, b *bmat.BlockMatrix, params Param
 	compactOutput(out)
 	rec.AddBytes(metrics.StepAggregation, aggregationBytes)
 	if aggregationBytes > 0 {
+		spilled += aggregationBytes
 		if err := env.Cluster.ChargeSpill(aggregationBytes); err != nil {
 			endSpanErr(asp, err)
 			return nil, err
@@ -474,34 +481,47 @@ func endSpanErr(sp obs.Span, err error) {
 const sparseFormatThreshold = 0.4
 
 // compactSizeBytes is the serialized size of a block in its best format.
-func compactSizeBytes(d *matrix.Dense) int64 {
-	if matrix.Sparsity(d) < sparseFormatThreshold {
-		nnz := int64(d.NNZ())
-		sparse := nnz*16 + int64(d.RowsN+1)*8
-		if sparse < d.SizeBytes() {
-			return sparse
-		}
+func compactSizeBytes(b matrix.Block) int64 {
+	r, c := b.Dims()
+	if sparse, ok := compactCSRBytes(b.NNZ(), r, c); ok {
+		return sparse
 	}
-	return d.SizeBytes()
+	return int64(r) * int64(c) * 8
 }
 
-// compactOutput converts low-density dense result blocks to CSR — the
-// output-format selection step, so downstream operators see sparse blocks
-// when the product really is sparse.
+// compactCSRBytes applies the per-block format rule to an r×c block holding
+// nnz nonzeros: it reports the block's CSR size and whether CSR is the
+// block's format, which holds iff the density is below
+// sparseFormatThreshold and the CSR is smaller than the dense block. A
+// dense block's nnz comes from one scan, a CSR block's from its length.
+func compactCSRBytes(nnz, r, c int) (int64, bool) {
+	density := 0.0
+	if r > 0 && c > 0 {
+		density = float64(nnz) / (float64(r) * float64(c))
+	}
+	sparse := int64(nnz)*16 + int64(r+1)*8
+	return sparse, density < sparseFormatThreshold && sparse < int64(r)*int64(c)*8
+}
+
+// compactOutput stores every result block in the format compactCSRBytes
+// picks — the output-format selection step, so downstream operators see
+// sparse blocks when the product really is sparse. Low-density dense
+// blocks become CSR; CSR blocks (the sparse×sparse partials) that are too
+// dense for the rule become dense, holding +0 wherever the CSR stored
+// nothing, so the result is the same whichever format accumulated it.
 func compactOutput(m *bmat.BlockMatrix) {
 	for _, key := range m.Keys() {
-		blk := m.Block(key.I, key.J)
-		d, ok := blk.(*matrix.Dense)
-		if !ok {
-			continue
-		}
-		if matrix.Sparsity(d) < sparseFormatThreshold {
-			csr := matrix.NewCSRFromDense(d)
-			if csr.SizeBytes() < d.SizeBytes() {
-				m.SetBlock(key.I, key.J, csr)
+		switch b := m.Block(key.I, key.J).(type) {
+		case *matrix.Dense:
+			if _, ok := compactCSRBytes(b.NNZ(), b.RowsN, b.ColsN); ok {
+				m.SetBlock(key.I, key.J, matrix.NewCSRFromDense(b))
 				// The dense buffer was typically a pooled MulAdd
 				// accumulator; the CSR copy replaces it, so recycle.
-				matrix.PutDense(d)
+				matrix.PutDense(b)
+			}
+		case *matrix.CSR:
+			if _, ok := compactCSRBytes(b.NNZ(), b.RowsN, b.ColsN); !ok {
+				m.SetBlock(key.I, key.J, b.Dense())
 			}
 		}
 	}
@@ -529,12 +549,12 @@ func sortCuboidsByWork(cs []*Cuboid) {
 // keyedBlock pairs a key and block for deterministic iteration.
 type keyedBlock struct {
 	key   bmat.BlockKey
-	block *matrix.Dense
+	block matrix.Block
 }
 
 // sortedPartials returns the map's entries ordered by (I, J) so aggregation
 // is deterministic regardless of map iteration order.
-func sortedPartials(m map[bmat.BlockKey]*matrix.Dense) []keyedBlock {
+func sortedPartials(m map[bmat.BlockKey]matrix.Block) []keyedBlock {
 	out := make([]keyedBlock, 0, len(m))
 	for k, v := range m {
 		out = append(out, keyedBlock{k, v})
@@ -597,6 +617,8 @@ func MultiplyRMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env 
 		tasks = s.I * s.J
 	}
 	rec := env.recorder()
+	var spilled int64
+	defer func() { env.Cluster.ReleaseSpill(spilled) }()
 
 	// ---- Matrix repartition step: replicate and hash-shuffle ----------
 	start := time.Now()
@@ -637,6 +659,7 @@ func MultiplyRMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env 
 		}
 	}
 	rec.AddBytes(metrics.StepRepartition, repartitionBytes)
+	spilled += repartitionBytes
 	if err := env.Cluster.ChargeSpill(repartitionBytes); err != nil {
 		endSpanErr(rsp, err)
 		return nil, err
@@ -723,6 +746,7 @@ func MultiplyRMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env 
 	out := bmat.New(a.Rows, b.Cols, a.BlockSize)
 	aggregationBytes := aggregateVoxelPartials(out, partials, env.aggWorkers())
 	rec.AddBytes(metrics.StepAggregation, aggregationBytes)
+	spilled += aggregationBytes
 	if err := env.Cluster.ChargeSpill(aggregationBytes); err != nil {
 		endSpanErr(asp, err)
 		return nil, err

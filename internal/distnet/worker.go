@@ -115,10 +115,13 @@ func (w *Worker) beginReadRPC() bool {
 }
 
 // computeCuboid is the cuboid arithmetic itself: for every (i, j) in the
-// box, the sum over the box's k range of A_{i,k}·B_{k,j} — the same
-// arithmetic as core.CPUMultiplier. It is shared verbatim by the remote
-// worker and the driver's local fallback, so a cuboid computes
-// bit-identically wherever it lands.
+// box, the sum over the box's k range of A_{i,k}·B_{k,j}. Its values are
+// those of core.CPUMultiplier, but every partial is a dense MulAdd
+// accumulator, where core.CPUMultiplier keeps sparse×sparse partials in
+// CSR; the dense partials are what the wire carries and Eq.(4)'s
+// aggregation term prices. It is shared verbatim by the remote worker and
+// the driver's local fallback, so a cuboid computes bit-identically
+// wherever it lands.
 func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
 	if args.IHi < args.ILo || args.JHi < args.JLo || args.KHi < args.KLo {
 		return fmt.Errorf("distnet: malformed cuboid box")

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -280,6 +281,44 @@ func TestEngineRecorderAccumulates(t *testing.T) {
 	}
 	if e.Recorder().Bytes(metrics.StepRepartition) == 0 {
 		t.Fatal("engine recorder did not accumulate")
+	}
+}
+
+// TestEngineDiskHoldsOnlyJobsInFlight: an engine whose disk fits one job
+// runs job after job, because each job's intermediate data leaves the disk
+// when the job ends, while one job larger than the disk still fails with
+// E.D.C.
+func TestEngineDiskHoldsOnlyJobsInFlight(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	a := bmat.RandomSparse(rng, 40, 40, 8, 0.1)
+	b := bmat.RandomSparse(rng, 40, 40, 8, 0.1)
+	opts := MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 3}}
+
+	probe := newTestEngine(t, testConfig())
+	if _, _, err := probe.MultiplyCtx(context.Background(), a, b, opts); err != nil {
+		t.Fatal(err)
+	}
+	oneJob := probe.Recorder().SpillBytes()
+	if oneJob == 0 {
+		t.Fatal("the job spilled nothing")
+	}
+
+	cfg := testConfig()
+	cfg.Cluster.DiskCapacityBytes = oneJob
+	e := newTestEngine(t, cfg)
+	for job := 0; job < 20; job++ {
+		if _, _, err := e.MultiplyCtx(context.Background(), a, b, opts); err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+	}
+	if got := e.Recorder().SpillBytes(); got != 20*oneJob {
+		t.Fatalf("recorder spill = %d, want the cumulative %d", got, 20*oneJob)
+	}
+
+	cfg.Cluster.DiskCapacityBytes = oneJob - 1
+	small := newTestEngine(t, cfg)
+	if _, _, err := small.MultiplyCtx(context.Background(), a, b, opts); !errors.Is(err, cluster.ErrExceededDisk) {
+		t.Fatalf("job larger than the disk: err = %v, want ErrExceededDisk", err)
 	}
 }
 

@@ -50,8 +50,62 @@ func TestGPUMultiplyMatchesCPU(t *testing.T) {
 		t.Fatalf("GPU produced %d blocks, CPU %d", len(got), len(cpu))
 	}
 	for k, want := range cpu {
-		if !got[k].EqualApprox(want, 1e-9) {
+		if !got[k].Dense().EqualApprox(want.Dense(), 1e-9) {
 			t.Fatalf("block %v differs", k)
+		}
+	}
+}
+
+// TestGPUPartialFormatsMatchCPU: the streamed device accumulation keeps
+// the same partial formats and bits as the CPU multiplier — CSR while
+// every product of a block was sparse×sparse, dense once a dense operand
+// joined it — for all-sparse and mixed-format operands on a device small
+// enough to split the k range into several subcuboid iterations.
+func TestGPUPartialFormatsMatchCPU(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, mixed := range []bool{false, true} {
+		a := bmat.RandomSparse(rng, 24, 40, 4, 0.3)
+		b := bmat.RandomSparse(rng, 40, 20, 4, 0.3)
+		if mixed {
+			for _, m := range []*bmat.BlockMatrix{a, b} {
+				for _, key := range m.Keys() {
+					switch blk := m.Block(key.I, key.J).(*matrix.CSR); rng.Intn(3) {
+					case 0:
+						m.SetBlock(key.I, key.J, blk.Dense())
+					case 1:
+						m.SetBlock(key.I, key.J, matrix.NewCSCFromCSR(blk))
+					}
+				}
+			}
+		}
+		c := fullCuboid(a, b)
+		want, err := core.CPUMultiplier{}.Multiply(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewMultiplier(testSpec(int64(3*4*4*8*4)), nil)
+		got, err := g.Multiply(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Device.Stats().Iterations < 2 {
+			t.Fatalf("mixed=%v: the device ran one iteration; the test wants streaming", mixed)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("mixed=%v: GPU produced %d blocks, CPU %d", mixed, len(got), len(want))
+		}
+		sawCSR := false
+		for key, w := range want {
+			if got[key].Format() != w.Format() {
+				t.Fatalf("mixed=%v: block %v is %v, CPU %v", mixed, key, got[key].Format(), w.Format())
+			}
+			sawCSR = sawCSR || w.Format() == matrix.FormatCSR
+			if !got[key].Dense().Equal(w.Dense()) {
+				t.Fatalf("mixed=%v: block %v bits differ", mixed, key)
+			}
+		}
+		if !mixed && !sawCSR {
+			t.Fatal("all-sparse operands produced no CSR partial")
 		}
 	}
 }
@@ -87,7 +141,7 @@ func TestGPUStreamedEqualsUnstreamedProperty(t *testing.T) {
 			return false
 		}
 		for key, want := range cpu {
-			if !got[key].EqualApprox(want, 1e-9) {
+			if !got[key].Dense().EqualApprox(want.Dense(), 1e-9) {
 				return false
 			}
 		}
@@ -358,7 +412,7 @@ func TestSharedBusContentionLowersUtilization(t *testing.T) {
 	}
 	want, _ := core.CPUMultiplier{}.Multiply(c)
 	for k, w := range want {
-		if !got[k].EqualApprox(w, 1e-9) {
+		if !got[k].Dense().EqualApprox(w.Dense(), 1e-9) {
 			t.Fatal("shared-bus run changed the product")
 		}
 	}

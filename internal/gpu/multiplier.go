@@ -33,9 +33,9 @@ var _ core.LocalMultiplier = (*Multiplier)(nil)
 // across the k-axis, copying the smaller input side as a chunk and the
 // bigger side block-by-block on per-j streams, and copy C back after the
 // last k-subcuboid.
-func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, error) {
+func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]matrix.Block, error) {
 	if c.Voxels() == 0 {
-		return map[bmat.BlockKey]*matrix.Dense{}, nil
+		return map[bmat.BlockKey]matrix.Block{}, nil
 	}
 	shape := c.Shape()
 	spec := m.Device.Spec()
@@ -50,7 +50,7 @@ func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, 
 
 	tl := newTaskTimeline(spec, shape.JB)
 	tl.device = m.Device
-	out := make(map[bmat.BlockKey]*matrix.Dense)
+	out := make(map[bmat.BlockKey]matrix.Block)
 
 	for p2 := 0; p2 < sub.P2; p2++ {
 		ilo, ihi := spanWithin(c.ILo, c.IHi, p2, sub.P2)
@@ -88,7 +88,7 @@ func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, 
 // streamSubcuboid runs one iteration: H2D of the smaller input side as a
 // chunk, the bigger side block-by-block with per-stream kernel launches, and
 // the real arithmetic into the resident accumulators.
-func (m *Multiplier) streamSubcuboid(c *core.Cuboid, tl *taskTimeline, out map[bmat.BlockKey]*matrix.Dense, ilo, ihi, jlo, jhi, klo, khi int) error {
+func (m *Multiplier) streamSubcuboid(c *core.Cuboid, tl *taskTimeline, out map[bmat.BlockKey]matrix.Block, ilo, ihi, jlo, jhi, klo, khi int) error {
 	aBytes := storedBytesA(c, ilo, ihi, klo, khi)
 	bBytes := storedBytesB(c, klo, khi, jlo, jhi)
 	if err := tl.alloc(aBytes + bBytes); err != nil {
@@ -149,10 +149,12 @@ func (m *Multiplier) streamSubcuboid(c *core.Cuboid, tl *taskTimeline, out map[b
 }
 
 // accumulate performs the real arithmetic of kernel K_{i,k*k,j} into the
-// resident accumulator for C block (i, j).
-func accumulate(out map[bmat.BlockKey]*matrix.Dense, c *core.Cuboid, i, j int, ab, bb matrix.Block) {
+// resident accumulator for C block (i, j): a CSR block while every product
+// so far was sparse×sparse, dense from the first dense operand on
+// (matrix.MulAccumulate). The device model still charges a dense C'.
+func accumulate(out map[bmat.BlockKey]matrix.Block, c *core.Cuboid, i, j int, ab, bb matrix.Block) {
 	key := bmat.BlockKey{I: i, J: j}
-	out[key] = matrix.MulAdd(out[key], ab, bb)
+	out[key] = matrix.MulAccumulate(out[key], ab, bb)
 }
 
 // fitSubParams verifies the optimizer's average-size parameters against the

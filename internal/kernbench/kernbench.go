@@ -234,15 +234,18 @@ func endToEndResults() ([]Result, error) {
 		return nil, err
 	}
 	env := core.Env{Cluster: cl}
-	params := core.Params{P: 2, Q: 2, R: 2}
 
 	rng := rand.New(rand.NewSource(5))
 	da := bmat.RandomDense(rng, 512, 512, 128)
 	db := bmat.RandomDense(rng, 512, 512, 128)
 	sa := bmat.RandomSparse(rng, 1024, 1024, 128, 0.01)
 	sb := bmat.RandomDense(rng, 1024, 256, 128)
+	// Sparse×sparse: every partial stays CSR through the local multiply
+	// and the R = 3 aggregation.
+	ssa := bmat.RandomSparse(rng, 1500, 1500, 250, 0.01)
+	ssb := bmat.RandomSparse(rng, 1500, 1500, 250, 0.01)
 
-	bench := func(name string, a, b *bmat.BlockMatrix) (Result, error) {
+	bench := func(name string, a, b *bmat.BlockMatrix, params core.Params) (Result, error) {
 		if _, err := core.MultiplyCuboid(a, b, params, env); err != nil {
 			return Result{}, fmt.Errorf("%s: %w", name, err)
 		}
@@ -258,13 +261,15 @@ func endToEndResults() ([]Result, error) {
 
 	var out []Result
 	for _, tc := range []struct {
-		name string
-		a, b *bmat.BlockMatrix
+		name   string
+		a, b   *bmat.BlockMatrix
+		params core.Params
 	}{
-		{"MultiplyCuboid/dense512", da, db},
-		{"MultiplyCuboid/sparse1024@1%x256", sa, sb},
+		{"MultiplyCuboid/dense512", da, db, core.Params{P: 2, Q: 2, R: 2}},
+		{"MultiplyCuboid/sparse1024@1%x256", sa, sb, core.Params{P: 2, Q: 2, R: 2}},
+		{"MultiplyCuboid/sparse1500@1%xsparse", ssa, ssb, core.Params{P: 2, Q: 2, R: 3}},
 	} {
-		res, err := bench(tc.name, tc.a, tc.b)
+		res, err := bench(tc.name, tc.a, tc.b, tc.params)
 		if err != nil {
 			return nil, err
 		}

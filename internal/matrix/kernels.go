@@ -24,8 +24,23 @@
 // sparse kernels apply the same zero rule to the entries they do not store
 // (DenseMulCSC does not skip zeros in its dense A) and never fuse either,
 // but group their additions as each one's comment says: they are
-// deterministic, not bit-identical to Gemm on the densified operands. Every multiply-accumulate in this package is written
-// float64(x*y) + z, the conversion the Go spec defines to forbid fusion.
+// deterministic, not bit-identical to Gemm on the densified operands. Every
+// multiply-accumulate in this package is written float64(x*y) + z, the
+// conversion the Go spec defines to forbid fusion.
+//
+// # Sparse accumulation
+//
+// A k-sum of block products, acc + A_k×B_k for ascending k, goes through
+// MulAccumulate. While every operand is CSR or CSC the accumulator is a
+// CSR block, and each product (a CSRMulCSR result, which drops the
+// elements that sum to zero) is merged into it by AddCSR: where both hold
+// an element the new value is acc + product, added in that order; an
+// element held on one side keeps its value; a sum that is exactly zero is
+// dropped. The first dense operand densifies the accumulator, +0 wherever
+// the CSR holds nothing, and MulAdd carries on densely from there. So the
+// values are bit-identical to MulAdd over the same sequence from a nil
+// accumulator, whose dense block holds +0 exactly where the CSR holds no
+// element.
 package matrix
 
 import (
@@ -391,27 +406,57 @@ func CSRMulCSR(a, b *CSR) *CSR {
 	return csrMulCSRRange(a, b, 0, m)
 }
 
+// gustavson is the scratch of one csrMulCSRRange call: a dense value row,
+// a stamp per column naming the output row that last touched it, and the
+// touched-column list. Stamps only grow, so a recycled scratch needs no
+// clearing between calls.
+type gustavson struct {
+	acc   []float64
+	mark  []uint64
+	stamp uint64
+	cols  []int
+}
+
+var gustavsonPool = sync.Pool{New: func() any { return new(gustavson) }}
+
 // csrMulCSRRange runs Gustavson on A rows [lo, hi), returning a partial CSR
-// whose row r corresponds to global row lo+r.
+// whose row r corresponds to global row lo+r. The output arrays are sized
+// up front to the range's scalar-multiply count, which bounds its nnz.
 func csrMulCSRRange(a, b *CSR, lo, hi int) *CSR {
 	n := b.ColsN
-	out := &CSR{RowsN: hi - lo, ColsN: n, RowPtr: make([]int, hi-lo+1)}
-	acc := getScratch(n) // values are reset lazily via marker, no zeroing needed
-	defer putScratch(acc)
-	marker := make([]int, n)
-	for i := range marker {
-		marker[i] = -1
+	bound := 0
+	for p := a.RowPtr[lo]; p < a.RowPtr[hi]; p++ {
+		k := a.ColIdx[p]
+		bound += b.RowPtr[k+1] - b.RowPtr[k]
 	}
-	var cols []int
+	if full := (hi - lo) * n; bound > full {
+		bound = full
+	}
+	out := &CSR{
+		RowsN:  hi - lo,
+		ColsN:  n,
+		RowPtr: make([]int, hi-lo+1),
+		ColIdx: make([]int, 0, bound),
+		Val:    make([]float64, 0, bound),
+	}
+	g := gustavsonPool.Get().(*gustavson)
+	defer gustavsonPool.Put(g)
+	if len(g.mark) < n {
+		g.acc = make([]float64, n)
+		g.mark = make([]uint64, n)
+	}
+	acc, mark, cols := g.acc, g.mark, g.cols
 	for i := lo; i < hi; i++ {
+		g.stamp++
+		stamp := g.stamp
 		cols = cols[:0]
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			k := a.ColIdx[p]
 			av := a.Val[p]
 			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
 				j := b.ColIdx[q]
-				if marker[j] != i {
-					marker[j] = i
+				if mark[j] != stamp {
+					mark[j] = stamp
 					acc[j] = 0
 					cols = append(cols, j)
 				}
@@ -428,6 +473,7 @@ func csrMulCSRRange(a, b *CSR, lo, hi int) *CSR {
 		}
 		out.RowPtr[i-lo+1] = len(out.Val)
 	}
+	g.cols = cols
 	return out
 }
 
@@ -606,6 +652,57 @@ func MulAdd(c *Dense, a, b Block) *Dense {
 		AddInto(c, Mul(a, b))
 	}
 	return c
+}
+
+// MulAccumulate returns acc + a×b, one k-step of a cuboid's local
+// multiplication, keeping the accumulator in the cheapest exact format. A
+// nil acc starts a new accumulation. While every operand has been sparse
+// (CSR or CSC) the accumulator is a CSR block and each product is merged
+// into it with AddCSR. The first dense operand moves the accumulation to a
+// dense block for good: a CSR acc is densified into a pooled buffer and
+// MulAdd carries on from there. Either way the values are bit-identical to
+// MulAdd over the same sequence from a nil accumulator (see "Sparse
+// accumulation" in the package comment); only the format may differ.
+func MulAccumulate(acc, a, b Block) Block {
+	if a.Format() != FormatDense && b.Format() != FormatDense {
+		p := Mul(a, b)
+		if acc == nil {
+			return p
+		}
+		return Accumulate(acc, p)
+	}
+	var d *Dense
+	if acc != nil {
+		d = denseAccumulator(acc)
+	}
+	return MulAdd(d, a, b)
+}
+
+// Accumulate returns acc + p for a non-nil accumulator, added in that
+// order. Two CSR blocks merge into a fresh CSR (AddCSR). Otherwise the sum
+// is dense: p is added into acc in place when acc is dense, or into a
+// pooled densified copy of it. The bits are those of AddInto on the
+// densified operands.
+func Accumulate(acc, p Block) Block {
+	if a, ok := acc.(*CSR); ok {
+		if q, ok := p.(*CSR); ok {
+			return AddCSR(a, q)
+		}
+	}
+	d := denseAccumulator(acc)
+	AddInto(d, p)
+	return d
+}
+
+// denseAccumulator returns acc itself when it is dense, and otherwise a
+// pooled dense copy holding +0 wherever acc stores nothing.
+func denseAccumulator(acc Block) *Dense {
+	if d, ok := acc.(*Dense); ok {
+		return d
+	}
+	d := GetDense(acc.Dims())
+	AddInto(d, acc)
+	return d
 }
 
 func cscToCSR(m *CSC) *CSR {

@@ -76,6 +76,61 @@ func NewCSRFromDense(d *Dense) *CSR {
 	return m
 }
 
+// AddCSR returns a+b as a fresh CSR block, merging each row's two sorted
+// column lists. Where both operands store column j the entry is
+// a(i,j) + b(i,j), added in that order; an entry stored in one operand
+// keeps its value; and every entry whose value is zero (a sum that cancels,
+// or a stored ±0) is dropped. The result therefore equals, bit for bit,
+// NewCSRFromDense of a densified a with b added by AddInto.
+func AddCSR(a, b *CSR) *CSR {
+	if a.RowsN != b.RowsN || a.ColsN != b.ColsN {
+		panic(fmt.Sprintf("matrix: AddCSR: dimension mismatch %dx%d + %dx%d", a.RowsN, a.ColsN, b.RowsN, b.ColsN))
+	}
+	n := len(a.Val) + len(b.Val)
+	rowPtr := make([]int, a.RowsN+1)
+	cols := make([]int, n)
+	vals := make([]float64, n)
+	w := 0
+	for i := 0; i < a.RowsN; i++ {
+		ac, av := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], a.Val[a.RowPtr[i]:a.RowPtr[i+1]]
+		bc, bv := b.ColIdx[b.RowPtr[i]:b.RowPtr[i+1]], b.Val[b.RowPtr[i]:b.RowPtr[i+1]]
+		av, bv = av[:len(ac)], bv[:len(bc)] // lets the compiler drop bounds checks
+		p, q := 0, 0
+		for p < len(ac) && q < len(bc) {
+			j, v := ac[p], av[p]
+			switch cb := bc[q]; {
+			case j < cb:
+				p++
+			case cb < j:
+				j, v = cb, bv[q]
+				q++
+			default:
+				v += bv[q]
+				p++
+				q++
+			}
+			cols[w], vals[w] = j, v
+			if v != 0 {
+				w++
+			}
+		}
+		for ; p < len(ac); p++ {
+			cols[w], vals[w] = ac[p], av[p]
+			if av[p] != 0 {
+				w++
+			}
+		}
+		for ; q < len(bc); q++ {
+			cols[w], vals[w] = bc[q], bv[q]
+			if bv[q] != 0 {
+				w++
+			}
+		}
+		rowPtr[i+1] = w
+	}
+	return &CSR{RowsN: a.RowsN, ColsN: a.ColsN, RowPtr: rowPtr, ColIdx: cols[:w], Val: vals[:w]}
+}
+
 // Dims returns the dimensions.
 func (m *CSR) Dims() (int, int) { return m.RowsN, m.ColsN }
 

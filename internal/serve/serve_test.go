@@ -484,10 +484,13 @@ func TestFairShareServesLighterTenant(t *testing.T) {
 	defer s.Close()
 
 	a, b := testMatrices(9600, 32)
+	var heavy []JobID
 	for i := 0; i < 40; i++ {
-		if _, err := s.Submit(SubmitRequest{Tenant: "heavy", A: a, B: b}); err != nil {
+		hid, err := s.Submit(SubmitRequest{Tenant: "heavy", A: a, B: b})
+		if err != nil {
 			t.Fatal(err)
 		}
+		heavy = append(heavy, hid)
 	}
 	id, err := s.Submit(SubmitRequest{Tenant: "light", A: a, B: b})
 	if err != nil {
@@ -502,13 +505,19 @@ func TestFairShareServesLighterTenant(t *testing.T) {
 		t.Fatalf("light job starved: state %v err %v", st.State, err)
 	}
 	elapsed := time.Since(start)
-	dbg := s.DebugSnapshot()
-	var heavyDone int64
-	for _, tn := range dbg.Tenants {
-		if tn.Name == "heavy" {
-			heavyDone = tn.Stats.Completed
+	// Count the heavy jobs that finished while the light job waited or
+	// ran, from the jobs' own timestamps: heavy jobs that finished before
+	// it was queued, or after it finished, say nothing about fair share,
+	// however the test goroutine was scheduled around them.
+	s.mu.Lock()
+	light := s.jobs[id]
+	var heavyDone int
+	for _, hid := range heavy {
+		if h := s.jobs[hid]; h.state == StateDone && h.finished.After(light.submitted) && !h.finished.After(light.finished) {
+			heavyDone++
 		}
 	}
+	s.mu.Unlock()
 	if heavyDone > 20 {
 		t.Fatalf("light tenant waited behind %d heavy jobs (%v): fair share broken", heavyDone, elapsed)
 	}
